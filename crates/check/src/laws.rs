@@ -1125,3 +1125,132 @@ pub fn law_recovery(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Resu
     }
     Ok(())
 }
+
+// ---------------------------------------------------------------------------
+// Epoch publish: dirty-block refresh ≡ deep snapshot
+// ---------------------------------------------------------------------------
+
+/// Epoch publish by dirty-block refresh. A seeded update stream runs
+/// through a durable session that checkpoints every two batches, so
+/// rebases publish too. Between applies the law cycles through three
+/// reader patterns: nothing held (the retired head is refreshed in place),
+/// the head and its `TaggedInstance` held (the head must survive
+/// untouched and the next epoch is a deep copy), and only the
+/// `TaggedInstance` held. The first batch that evaluates anything (and
+/// does not checkpoint) runs once with the exchange budget cancelled, so
+/// the engine's rollback path runs too. After every apply the head's canonical XML and its sources'
+/// annotated XML are byte-identical to a fresh deep snapshot of the live
+/// session; after every successful apply its instances are also
+/// arena-identical to it (slot by slot, garbage included).
+pub fn law_epoch_refresh(
+    rng: &mut TestRng,
+    scen: &Scenario,
+    cfg: &GenConfig,
+) -> Result<(), String> {
+    use dtr_core::store::{DurableOptions, DurableSession};
+    use dtr_mapping::durable::MemVfs;
+    use dtr_mapping::exchange::ExchangeOptions;
+    use dtr_obs::guard::Budget;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let setting = MappingSetting::new(
+        scen.sources.iter().map(|(s, _)| s.clone()).collect(),
+        scen.target.clone(),
+        scen.mappings.clone(),
+    )
+    .map_err(|e| format!("setting failed to build: {e}"))?;
+    let sources: Vec<Instance> = scen.sources.iter().map(|(_, i)| i.clone()).collect();
+    // Limited (so a trip rolls the target back) but never reached: trips
+    // come only from the cancel flag.
+    let budget = Budget {
+        deadline: Some(Duration::from_secs(3600)),
+        ..Budget::default()
+    };
+    let cancel = Arc::clone(&budget.cancel);
+    let opts = DurableOptions {
+        exchange: ExchangeOptions {
+            budget,
+            ..ExchangeOptions::default()
+        },
+        checkpoint_every: 2,
+        backoff_ms: 0,
+        ..DurableOptions::default()
+    };
+    let mut s =
+        DurableSession::create(setting, sources, None, Arc::new(MemVfs::new()), "wal", opts)
+            .map_err(|e| format!("durable create failed: {e}"))?;
+
+    let xml = |i: &Instance| instance_to_xml(i, WriteOptions::annotated());
+    let check = |s: &DurableSession, step: usize, arena: bool| -> Result<(), String> {
+        let head = s.pin();
+        let snap = s
+            .session()
+            .tagged()
+            .map_err(|e| format!("step {step}: deep snapshot failed: {e}"))?;
+        if head.canonical() != xml(snap.target()) {
+            return Err(format!(
+                "step {step}: head epoch {} canonical differs from a deep snapshot",
+                head.id
+            ));
+        }
+        let tagged = head.tagged();
+        let (mine, theirs) = (tagged.source_instances(), snap.source_instances());
+        if mine.len() != theirs.len() || mine.iter().zip(theirs).any(|(a, b)| xml(a) != xml(b)) {
+            return Err(format!(
+                "step {step}: head epoch {} sources differ from a deep snapshot",
+                head.id
+            ));
+        }
+        if arena && (tagged.target() != snap.target() || mine != theirs) {
+            return Err(format!(
+                "step {step}: head epoch {} arena differs slot by slot from a deep snapshot",
+                head.id
+            ));
+        }
+        Ok(())
+    };
+
+    let stream = generators::gen_update_stream(rng, scen, cfg, 6);
+    let mut tripped = false;
+    for (step, delta) in stream.iter().enumerate() {
+        let head = s.pin();
+        let held_tagged = (step % 3 != 0).then(|| head.tagged());
+        let held_epoch = (step % 3 == 1).then_some(head);
+        let held_canonical = held_tagged.as_ref().map(|t| xml(t.target()));
+        let mut applied = false;
+        // Only on batches that will not auto-checkpoint: a cancel flag
+        // still set during the rebase would degrade the session instead.
+        if !tripped && s.batch() % 2 == 0 {
+            cancel.store(true, Ordering::SeqCst);
+            let outcome = s.apply(delta);
+            cancel.store(false, Ordering::SeqCst);
+            match outcome {
+                Ok(_) => applied = true,
+                Err(e) if e.guard().is_some() => {
+                    tripped = true;
+                    if s.read_only().is_some() {
+                        return Err(format!("step {step}: budget trip degraded the session"));
+                    }
+                    check(&s, step, false)?;
+                }
+                Err(e) => return Err(format!("step {step}: cancelled apply failed: {e}")),
+            }
+        }
+        if !applied {
+            s.apply(delta)
+                .map_err(|e| format!("durable apply failed at step {step} ({delta:?}): {e}"))?;
+        }
+        check(&s, step, true)?;
+        if let (Some(tagged), Some(before)) = (&held_tagged, &held_canonical) {
+            let epoch_moved = held_epoch.as_ref().is_some_and(|e| e.canonical() != before);
+            if xml(tagged.target()) != *before || epoch_moved {
+                return Err(format!(
+                    "step {step}: a held snapshot changed under its reader"
+                ));
+            }
+        }
+    }
+    Ok(())
+}

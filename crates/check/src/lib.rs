@@ -53,6 +53,7 @@ pub fn run_case_with(seed: u64, cfg: &GenConfig, exchange: &ExchangeOptions) -> 
     laws::law_parallel_exchange(&scen)?;
     laws::law_flight(&mut rng, &scen, cfg)?;
     laws::law_incremental(&mut rng, &scen, cfg, exchange)?;
+    laws::law_epoch_refresh(&mut rng, &scen, cfg)?;
     Ok(())
 }
 

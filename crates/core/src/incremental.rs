@@ -157,6 +157,12 @@ impl IncrementalSession {
         self.engine.sources()
     }
 
+    /// Starts a new dirty-tracking interval on the sources and target (see
+    /// [`IncrementalExchange::clear_dirty`]).
+    pub fn clear_dirty(&mut self) {
+        self.engine.clear_dirty();
+    }
+
     /// The synthesized exchange report (see
     /// [`IncrementalExchange::report`]).
     pub fn report(&self) -> &ExchangeReport {

@@ -4,8 +4,10 @@
 //!
 //! The commit protocol is WAL-then-publish: a batch is first framed and
 //! fsynced into the log ([`dtr_mapping::durable::Wal`]), then applied to
-//! the in-memory exchange, then published as a fresh [`Epoch`] that
-//! readers pin via [`SnapshotStore::pin`]. A crash between WAL commit and
+//! the in-memory exchange, then published as a new [`Epoch`] that
+//! readers pin via [`SnapshotStore::pin`]. Publishing costs what the batch
+//! wrote: an unpinned retired head is refreshed in place, block by dirty
+//! block (see [`SnapshotStore`]). A crash between WAL commit and
 //! epoch publish therefore recovers to the *post*-delta state (the frame
 //! is durable); a crash during the append recovers to the *pre*-delta
 //! state (the torn frame is truncated). Recovery never lands anywhere
@@ -115,10 +117,11 @@ pub struct RecoveryReport {
 /// pinned an epoch keep it alive (and byte-identical) however far the
 /// writer advances.
 ///
-/// Publishing is cheap: the writer only clones the instance data (the
-/// frozen snapshot); annotation, query indexes, and the canonical XML
-/// rendering are built on a reader's first access and cached. An epoch
-/// nobody pins costs the writer a memcpy, not a render.
+/// An epoch is published as raw instance copies; annotation and query
+/// indexes are built on a reader's first [`Epoch::tagged`], and the
+/// canonical XML on the first [`Epoch::canonical`], each cached. The
+/// copies themselves usually cost the writer only what the batch wrote:
+/// see [`SnapshotStore`].
 pub struct Epoch {
     /// Monotonic publish counter, starting at 1 for the initial state.
     pub id: u64,
@@ -127,12 +130,13 @@ pub struct Epoch {
     pub batch: u64,
     /// The raw snapshot, consumed by the first materialization.
     parts: Mutex<Option<EpochParts>>,
-    /// Built once from `parts`: the queryable snapshot and the canonical
-    /// annotated-XML byte-identity witness.
-    materialized: OnceLock<(Arc<TaggedInstance>, String)>,
+    /// The queryable snapshot, built once from `parts`.
+    tagged: OnceLock<Arc<TaggedInstance>>,
+    /// Annotated XML of the target, rendered on first request.
+    canonical: OnceLock<String>,
 }
 
-/// The cheap-to-capture snapshot an epoch is published with.
+/// The raw snapshot an epoch is published with.
 struct EpochParts {
     source_schemas: Vec<Schema>,
     target_schema: Schema,
@@ -142,52 +146,94 @@ struct EpochParts {
 }
 
 impl Epoch {
-    fn materialize(&self) -> &(Arc<TaggedInstance>, String) {
-        self.materialized.get_or_init(|| {
-            let p = self
-                .parts
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("epoch parts already consumed");
-            let canonical = instance_to_xml(&p.target, WriteOptions::annotated());
-            // The parts came out of a session that already validated this
-            // exact setting and annotated these exact instances; failure
-            // here is a logic bug, not a runtime condition.
-            let setting = MappingSetting::new(p.source_schemas, p.target_schema, p.mappings)
-                .expect("epoch snapshot setting rebuilds");
-            let tagged = TaggedInstance::from_parts(setting, p.sources, p.target)
-                .expect("epoch snapshot annotates");
-            (Arc::new(tagged), canonical)
-        })
+    fn new(id: u64, batch: u64, parts: Option<EpochParts>) -> Epoch {
+        Epoch {
+            id,
+            batch,
+            parts: Mutex::new(parts),
+            tagged: OnceLock::new(),
+            canonical: OnceLock::new(),
+        }
     }
 
     /// The queryable snapshot (built and cached on first access).
     pub fn tagged(&self) -> Arc<TaggedInstance> {
-        self.materialize().0.clone()
+        self.tagged
+            .get_or_init(|| {
+                let p = self
+                    .parts
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .take()
+                    .expect("epoch parts already consumed");
+                // The parts came out of a session that already validated
+                // this exact setting and annotated these exact instances;
+                // failure here is a logic bug, not a runtime condition.
+                let setting = MappingSetting::new(p.source_schemas, p.target_schema, p.mappings)
+                    .expect("epoch snapshot setting rebuilds");
+                let tagged = TaggedInstance::from_parts(setting, p.sources, p.target)
+                    .expect("epoch snapshot annotates");
+                Arc::new(tagged)
+            })
+            .clone()
     }
 
     /// Annotated XML of the target at publish time — the byte-identity
     /// witness used by recovery verification and the reader soak tests.
     pub fn canonical(&self) -> &str {
-        &self.materialize().1
+        self.canonical
+            .get_or_init(|| instance_to_xml(self.tagged().target(), WriteOptions::annotated()))
+    }
+
+    /// Takes the epoch's source and target instances back for reuse,
+    /// leaving it empty. Returns `None`, and leaves the epoch readable,
+    /// if a reader still holds its [`TaggedInstance`] (or it has none).
+    fn reclaim(&mut self) -> Option<(Vec<Instance>, Instance)> {
+        let parts = self.parts.get_mut().unwrap_or_else(|e| e.into_inner());
+        if let Some(p) = parts.take() {
+            return Some((p.sources, p.target));
+        }
+        Arc::get_mut(self.tagged.get_mut()?)?;
+        let tagged = Arc::into_inner(self.tagged.take()?)?;
+        self.canonical.take();
+        let (_, sources, target) = tagged.into_parts();
+        Some((sources, target))
+    }
+
+    /// Refills a reclaimed epoch in place as epoch `id`.
+    fn refill(&mut self, id: u64, batch: u64, parts: EpochParts) {
+        self.id = id;
+        self.batch = batch;
+        *self.parts.get_mut().unwrap_or_else(|e| e.into_inner()) = Some(parts);
     }
 }
 
 /// Epoch head with atomic swap: one writer publishes, any number of
 /// readers pin. Dropping the store does not invalidate pinned epochs.
+///
+/// Publishing reuses the retired head when nobody else holds it or its
+/// [`TaggedInstance`]: its instances are refreshed in place from the
+/// session with [`Instance::refresh_from`], which copies only the 64-node
+/// blocks written on either side since the last publish; readers calling
+/// [`SnapshotStore::pin`] wait for the refresh. When a reader still pins
+/// the head, the head is left alone and the new epoch is a deep copy of
+/// the session's state, built outside the lock.
 pub struct SnapshotStore {
     head: RwLock<Arc<Epoch>>,
     next_id: AtomicU64,
 }
 
 impl SnapshotStore {
-    fn new(first: Epoch) -> Arc<SnapshotStore> {
-        let id = first.id;
-        Arc::new(SnapshotStore {
-            head: RwLock::new(Arc::new(first)),
-            next_id: AtomicU64::new(id + 1),
-        })
+    /// A store whose head is epoch 1, the session's current state.
+    fn new(session: &mut IncrementalSession, batch: u64) -> Arc<SnapshotStore> {
+        // The empty placeholder has nothing to reclaim, so this first
+        // publish deep-copies the session.
+        let store = SnapshotStore {
+            head: RwLock::new(Arc::new(Epoch::new(0, 0, None))),
+            next_id: AtomicU64::new(1),
+        };
+        store.publish(session, batch);
+        Arc::new(store)
     }
 
     /// The current head epoch, pinned. The returned `Arc` stays valid and
@@ -201,12 +247,53 @@ impl SnapshotStore {
         self.pin().id
     }
 
-    fn publish(&self, mut epoch: Epoch) -> u64 {
+    /// Publishes the session's state as the new head, refreshing the
+    /// retired head in place when it is unshared (see [`SnapshotStore`]),
+    /// and starts the session's next dirty-tracking interval.
+    fn publish(&self, session: &mut IncrementalSession, batch: u64) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::AcqRel);
-        epoch.id = id;
-        *self.head.write().expect("snapshot head lock") = Arc::new(epoch);
+        let setting = session.setting();
+        let mut head = self.head.write().expect("snapshot head lock");
+        let retired = Arc::get_mut(&mut head).and_then(|epoch| {
+            let state = epoch.reclaim()?;
+            Some((epoch, state))
+        });
+        let refreshed = match retired {
+            Some((epoch, (mut sources, mut target))) => {
+                for (replica, live) in sources.iter_mut().zip(session.sources()) {
+                    replica.refresh_from(live);
+                }
+                target.refresh_from(session.target());
+                epoch.refill(id, batch, parts_of(setting, sources, target));
+                true
+            }
+            None => false,
+        };
+        drop(head);
+        if !refreshed {
+            // Publish is the only writer of the head, so it cannot move
+            // while the copy is built outside the lock.
+            let mut sources = session.sources().to_vec();
+            let mut target = session.target().clone();
+            for inst in sources.iter_mut().chain([&mut target]) {
+                inst.clear_dirty();
+            }
+            let epoch = Epoch::new(id, batch, Some(parts_of(setting, sources, target)));
+            *self.head.write().expect("snapshot head lock") = Arc::new(epoch);
+        }
+        session.clear_dirty();
         dtr_obs::counters().durable_epochs_published.incr();
         id
+    }
+}
+
+fn parts_of(setting: &MappingSetting, sources: Vec<Instance>, target: Instance) -> EpochParts {
+    EpochParts {
+        source_schemas: setting.source_schemas().to_vec(),
+        target_schema: setting.target_schema().clone(),
+        mappings: setting.mappings().to_vec(),
+        sources,
+        target,
     }
 }
 
@@ -365,9 +452,9 @@ pub struct DurableSession {
     /// Wall time spent committing frames to the log across every apply —
     /// serialization, framing, CRC, appends, and sync points.
     wal_commit_nanos: u64,
-    /// Wall time spent capturing and publishing epoch snapshots across
-    /// every apply (the O(state) clone; annotation and rendering are
-    /// deferred to the first reader).
+    /// Wall time spent publishing epoch snapshots across every apply (the
+    /// dirty-block refresh, or a deep copy while a reader pins the head;
+    /// annotation and rendering are deferred to the first reader).
     publish_nanos: u64,
 }
 
@@ -403,7 +490,7 @@ impl DurableSession {
         })
         .map_err(wal_to_mxql)?;
         record_checkpoint(bytes, wal.segment(), started.elapsed());
-        let snapshots = SnapshotStore::new(epoch_of(&session, 1, 0));
+        let snapshots = SnapshotStore::new(&mut session, 0);
         Ok(DurableSession {
             session,
             wal,
@@ -508,7 +595,7 @@ impl DurableSession {
                 started.elapsed().as_nanos() as u64,
             );
         }
-        let snapshots = SnapshotStore::new(epoch_of(&session, 1, batch));
+        let snapshots = SnapshotStore::new(&mut session, batch);
         let durable = DurableSession {
             session,
             wal,
@@ -585,7 +672,7 @@ impl DurableSession {
         self.deltas_since_checkpoint += 1;
         let batch = self.batch();
         let publish_started = Instant::now();
-        self.snapshots.publish(epoch_of(&self.session, 0, batch));
+        self.snapshots.publish(&mut self.session, batch);
         self.publish_nanos += publish_started.elapsed().as_nanos() as u64;
         if self.opts.checkpoint_every > 0
             && self.deltas_since_checkpoint >= self.opts.checkpoint_every
@@ -623,7 +710,7 @@ impl DurableSession {
         })?;
         self.deltas_since_checkpoint = 0;
         record_checkpoint(bytes, self.wal.segment(), started.elapsed());
-        self.snapshots.publish(epoch_of(&self.session, 0, batch));
+        self.snapshots.publish(&mut self.session, batch);
         Ok(())
     }
 
@@ -670,27 +757,11 @@ impl DurableSession {
     }
 
     /// Cumulative wall time [`DurableSession::apply`] spent publishing
-    /// epoch snapshots (the state clone readers pin). O(state) per batch,
-    /// independent of the log.
+    /// epoch snapshots. Proportional to the blocks each batch dirtied
+    /// while the retired head is unpinned, O(state) for a batch published
+    /// while a reader still pins it; independent of the log.
     pub fn publish_nanos(&self) -> u64 {
         self.publish_nanos
-    }
-}
-
-fn epoch_of(session: &IncrementalSession, id: u64, batch: u64) -> Epoch {
-    let setting = session.setting();
-    let parts = EpochParts {
-        source_schemas: setting.source_schemas().to_vec(),
-        target_schema: setting.target_schema().clone(),
-        mappings: setting.mappings().to_vec(),
-        sources: session.sources().to_vec(),
-        target: session.target().clone(),
-    };
-    Epoch {
-        id,
-        batch,
-        parts: Mutex::new(Some(parts)),
-        materialized: OnceLock::new(),
     }
 }
 
@@ -952,6 +1023,58 @@ mod tests {
             report.warnings
         );
         assert_eq!(reopened.session().store().unwrap().render(), render);
+    }
+
+    #[test]
+    fn deeply_nested_delta_frame_is_rejected_not_a_stack_overflow() {
+        use dtr_mapping::durable::{encode_frame, FrameKind};
+        let vfs = Arc::new(MemVfs::new());
+        drop(fresh(vfs.clone(), "wal"));
+        let frame = encode_frame(FrameKind::Delta, "[".repeat(10_000).as_bytes());
+        vfs.append("wal/wal-000001.log", &frame).unwrap();
+        let err = DurableSession::open(vfs, "wal", DurableOptions::default())
+            .err()
+            .expect("a 10 000-deep frame must not recover");
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("checkpoint corrupt: delta frame 0: not JSON"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn unpinned_head_is_refreshed_in_place_pinned_head_is_kept() {
+        let vfs = Arc::new(MemVfs::new());
+        let mut s = fresh(vfs, "wal");
+        let first = Arc::as_ptr(&s.pin());
+        s.apply(&SourceDelta::new().insert("US.houses", house("H808")))
+            .unwrap();
+        // Nobody held epoch 1: it was refilled as epoch 2.
+        let head = s.pin();
+        assert_eq!(Arc::as_ptr(&head), first);
+        assert_eq!((head.id, head.batch), (2, 1));
+        let fresh_canonical = |s: &DurableSession| {
+            let t = s.session().tagged().unwrap();
+            instance_to_xml(t.target(), WriteOptions::annotated())
+        };
+        assert_eq!(head.canonical(), fresh_canonical(&s));
+
+        // A pinned head survives the next publish untouched.
+        let pinned = head.canonical().to_string();
+        s.apply(&SourceDelta::new().delete("US.houses", 0)).unwrap();
+        assert_eq!(head.canonical(), pinned);
+        assert!(!Arc::ptr_eq(&head, &s.pin()));
+        assert_eq!(s.pin().canonical(), fresh_canonical(&s));
+
+        // A held TaggedInstance alone also keeps its epoch from reuse.
+        drop(head);
+        let tagged = s.pin().tagged();
+        let rows = tagged.query("select x.hid from Portal.estates x").unwrap();
+        s.apply(&SourceDelta::new().insert("US.houses", house("H809")))
+            .unwrap();
+        let again = tagged.query("select x.hid from Portal.estates x").unwrap();
+        assert_eq!(rows.len(), again.len());
+        assert_eq!(s.pin().canonical(), fresh_canonical(&s));
     }
 
     #[test]

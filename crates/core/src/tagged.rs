@@ -470,6 +470,12 @@ impl TaggedInstance {
         })
     }
 
+    /// Takes the setting, source instances and target back out, dropping
+    /// the query state (function registry, report, plan cache).
+    pub fn into_parts(self) -> (MappingSetting, Vec<Instance>, Instance) {
+        (self.setting, self.source_instances, self.target)
+    }
+
     /// The mapping setting.
     pub fn setting(&self) -> &MappingSetting {
         &self.setting

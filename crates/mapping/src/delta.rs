@@ -49,9 +49,22 @@ pub fn value_to_json(v: &Value) -> serde_json::Value {
     }
 }
 
+/// Deepest [`Value`] nesting [`value_from_json`] rebuilds, matching the
+/// JSON parser's own bound ([`serde_json::MAX_DEPTH`]).
+pub const MAX_VALUE_DEPTH: usize = serde_json::MAX_DEPTH;
+
 /// Deserializes the [`value_to_json`] shape. Returns `None` on any
-/// malformed value (never panics — WAL payloads may be corrupt).
+/// malformed value, including one nested deeper than [`MAX_VALUE_DEPTH`]
+/// (never panics — WAL payloads may be corrupt).
 pub fn value_from_json(v: &serde_json::Value) -> Option<Value> {
+    value_at(v, 1)
+}
+
+fn value_at(v: &serde_json::Value, depth: usize) -> Option<Value> {
+    if depth > MAX_VALUE_DEPTH {
+        return None;
+    }
+    let inner = |v: &serde_json::Value| value_at(v, depth + 1);
     let obj = v.as_object()?;
     if obj.len() != 1 {
         return None;
@@ -82,7 +95,7 @@ pub fn value_from_json(v: &serde_json::Value) -> Option<Value> {
                     if pair.len() != 2 {
                         return None;
                     }
-                    Some((pair[0].as_str()?.into(), value_from_json(&pair[1])?))
+                    Some((pair[0].as_str()?.into(), inner(&pair[1])?))
                 })
                 .collect::<Option<Vec<_>>>()?,
         ),
@@ -91,15 +104,12 @@ pub fn value_from_json(v: &serde_json::Value) -> Option<Value> {
             if pair.len() != 2 {
                 return None;
             }
-            Value::Choice(
-                pair[0].as_str()?.into(),
-                Box::new(value_from_json(&pair[1])?),
-            )
+            Value::Choice(pair[0].as_str()?.into(), Box::new(inner(&pair[1])?))
         }
         "set" => Value::Set(
             body.as_array()?
                 .iter()
-                .map(value_from_json)
+                .map(inner)
                 .collect::<Option<Vec<_>>>()?,
         ),
         _ => return None,
@@ -359,6 +369,17 @@ impl From<crate::exchange::ExchangeError> for DeltaError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn value_from_json_bounds_nesting() {
+        let nested = |depth: usize| (1..depth).fold(Value::str("x"), |v, _| Value::choice("c", v));
+        let ok = nested(MAX_VALUE_DEPTH);
+        assert_eq!(value_from_json(&value_to_json(&ok)), Some(ok));
+        assert_eq!(
+            value_from_json(&value_to_json(&nested(MAX_VALUE_DEPTH + 1))),
+            None
+        );
+    }
 
     #[test]
     fn target_delta_json_round_trip() {

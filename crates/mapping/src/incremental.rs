@@ -384,6 +384,16 @@ impl IncrementalExchange {
         &self.sources
     }
 
+    /// Starts a new dirty-tracking interval on the sources and the target
+    /// (see [`Instance::refresh_from`]): called once their state has been
+    /// copied out, so the next copy only needs the blocks written after.
+    pub fn clear_dirty(&mut self) {
+        for s in &mut self.sources {
+            s.clear_dirty();
+        }
+        self.target.clear_dirty();
+    }
+
     /// The source schemas.
     pub fn source_schemas(&self) -> &[Schema] {
         &self.source_schemas

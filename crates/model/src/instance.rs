@@ -37,7 +37,7 @@ impl fmt::Debug for NodeId {
 }
 
 /// The payload of an instance node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NodeData {
     /// An atomic leaf value.
     Atomic(AtomicValue),
@@ -50,7 +50,7 @@ pub enum NodeData {
 }
 
 /// One node of the instance tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     /// The label of the label-value pair (attribute name, root name, or `*`).
     pub label: Label,
@@ -148,13 +148,45 @@ impl From<AtomicValue> for Value {
     }
 }
 
+/// log2 of the number of arena slots per dirty-tracking block.
+const BLOCK_SHIFT: u32 = 6;
+
+/// Marks the block holding arena slot `slot` in a dirty bitset.
+#[inline]
+fn mark_dirty(dirty: &mut Vec<u64>, slot: usize) {
+    let block = slot >> BLOCK_SHIFT;
+    let word = block / 64;
+    if word >= dirty.len() {
+        dirty.resize(word + 1, 0);
+    }
+    dirty[word] |= 1 << (block % 64);
+}
+
 /// An instance: a named arena of value nodes plus per-node annotations.
+///
+/// The arena also keeps one dirty bit per block of 64 slots, set by every
+/// mutator that writes a slot in the block since the last
+/// [`Instance::clear_dirty`]. [`Instance::refresh_from`] uses the bits to
+/// bring a replica up to date by copying only the blocks that changed.
+/// The bits are bookkeeping, not part of the value: equality ignores them.
 #[derive(Clone, Debug)]
 pub struct Instance {
     db: String,
     nodes: Vec<Node>,
     annots: Vec<Annotation>,
     roots: Vec<NodeId>,
+    dirty: Vec<u64>,
+}
+
+/// Arena identity: same database name, roots, and node and annotation in
+/// every slot (unreachable slots included).
+impl PartialEq for Instance {
+    fn eq(&self, other: &Self) -> bool {
+        self.db == other.db
+            && self.roots == other.roots
+            && self.nodes == other.nodes
+            && self.annots == other.annots
+    }
 }
 
 impl Instance {
@@ -165,7 +197,53 @@ impl Instance {
             nodes: Vec::new(),
             annots: Vec::new(),
             roots: Vec::new(),
+            dirty: Vec::new(),
         }
+    }
+
+    /// Number of 64-slot blocks written since the last
+    /// [`Instance::clear_dirty`].
+    pub fn dirty_blocks(&self) -> usize {
+        self.dirty.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Starts a new dirty-tracking interval: forgets which blocks were
+    /// written so far.
+    pub fn clear_dirty(&mut self) {
+        self.dirty.clear();
+    }
+
+    /// Makes `self` an exact copy of `src` while copying only the blocks
+    /// either side wrote, plus the slots `src` appended.
+    ///
+    /// The caller guarantees that when `src` last ran
+    /// [`Instance::clear_dirty`], `self` was an exact copy of it (a
+    /// `clone` or an earlier refresh), and that since then `self` has been
+    /// written only through its own mutators. Leaves `self` clean.
+    pub fn refresh_from(&mut self, src: &Instance) {
+        self.nodes.truncate(src.nodes.len());
+        self.annots.truncate(src.nodes.len());
+        let shared = self.nodes.len();
+        let words = self.dirty.len().max(src.dirty.len());
+        for w in 0..words {
+            let word = |d: &[u64]| d.get(w).copied().unwrap_or(0);
+            let mut bits = word(&self.dirty) | word(&src.dirty);
+            while bits != 0 {
+                let start = (w * 64 + bits.trailing_zeros() as usize) << BLOCK_SHIFT;
+                bits &= bits - 1;
+                if start >= shared {
+                    break;
+                }
+                let end = (start + (1 << BLOCK_SHIFT)).min(shared);
+                self.nodes[start..end].clone_from_slice(&src.nodes[start..end]);
+                self.annots[start..end].clone_from_slice(&src.annots[start..end]);
+            }
+        }
+        self.nodes.extend_from_slice(&src.nodes[shared..]);
+        self.annots.extend_from_slice(&src.annots[shared..]);
+        self.roots.clone_from(&src.roots);
+        self.db.clone_from(&src.db);
+        self.dirty.clear();
     }
 
     /// The database name this instance belongs to.
@@ -204,6 +282,7 @@ impl Instance {
             data,
         });
         self.annots.push(Annotation::default());
+        mark_dirty(&mut self.dirty, id.index());
         id
     }
 
@@ -232,8 +311,13 @@ impl Instance {
     /// child.
     pub fn replace_children(&mut self, id: NodeId, kids: Vec<NodeId>) {
         for &k in &kids {
-            self.nodes[k.index()].parent = Some(id);
+            let parent = &mut self.nodes[k.index()].parent;
+            if *parent != Some(id) {
+                *parent = Some(id);
+                mark_dirty(&mut self.dirty, k.index());
+            }
         }
+        mark_dirty(&mut self.dirty, id.index());
         match &mut self.nodes[id.index()].data {
             NodeData::Record(c) | NodeData::Set(c) => *c = kids,
             NodeData::Choice(c) => {
@@ -264,26 +348,40 @@ impl Instance {
         &self.annots[id.index()]
     }
 
-    /// Mutable annotation access.
+    /// Mutable annotation access. Marks the node's block dirty whether or
+    /// not the caller writes.
     pub fn annotation_mut(&mut self, id: NodeId) -> &mut Annotation {
+        mark_dirty(&mut self.dirty, id.index());
         &mut self.annots[id.index()]
     }
 
     /// Sets the element annotation (`f_el`).
     pub fn set_element(&mut self, id: NodeId, e: ElementId) {
-        self.annots[id.index()].element = Some(e);
+        let element = &mut self.annots[id.index()].element;
+        if *element != Some(e) {
+            *element = Some(e);
+            mark_dirty(&mut self.dirty, id.index());
+        }
     }
 
     /// Adds `m` to the mapping annotation (`f_mp`). Returns `true` if the
     /// name was newly written, `false` if already present.
     pub fn add_mapping(&mut self, id: NodeId, m: MappingName) -> bool {
-        self.annots[id.index()].add_mapping(m)
+        let added = self.annots[id.index()].add_mapping(m);
+        if added {
+            mark_dirty(&mut self.dirty, id.index());
+        }
+        added
     }
 
     /// Removes `m` from the mapping annotation (`f_mp`). Returns `true` if
     /// the name was present. Used when rolling back an aborted mapping.
     pub fn remove_mapping(&mut self, id: NodeId, m: &MappingName) -> bool {
-        self.annots[id.index()].remove_mapping(m)
+        let removed = self.annots[id.index()].remove_mapping(m);
+        if removed {
+            mark_dirty(&mut self.dirty, id.index());
+        }
+        removed
     }
 
     /// Rolls the arena back to its first `len` nodes, discarding every node
@@ -302,15 +400,24 @@ impl Instance {
         self.nodes.truncate(len);
         self.annots.truncate(len);
         self.roots.retain(|r| r.index() < len);
-        for node in &mut self.nodes {
-            match &mut node.data {
-                NodeData::Record(kids) | NodeData::Set(kids) => kids.retain(|k| k.index() < len),
+        for (slot, node) in self.nodes.iter_mut().enumerate() {
+            let pruned = match &mut node.data {
+                NodeData::Record(kids) | NodeData::Set(kids) => {
+                    let before = kids.len();
+                    kids.retain(|k| k.index() < len);
+                    kids.len() != before
+                }
                 NodeData::Choice(kid) => {
-                    if matches!(kid, Some(k) if k.index() >= len) {
+                    let pruned = matches!(kid, Some(k) if k.index() >= len);
+                    if pruned {
                         *kid = None;
                     }
+                    pruned
                 }
-                NodeData::Atomic(_) => {}
+                NodeData::Atomic(_) => false,
+            };
+            if pruned {
+                mark_dirty(&mut self.dirty, slot);
             }
         }
     }
@@ -414,6 +521,7 @@ impl Instance {
         if let NodeData::Set(c) = &mut self.nodes[set.index()].data {
             c.push(kid);
         }
+        mark_dirty(&mut self.dirty, set.index());
         kid
     }
 
@@ -433,7 +541,11 @@ impl Instance {
             NodeData::Set(c) => {
                 let before = c.len();
                 c.retain(|&k| k != member);
-                before != c.len()
+                let removed = before != c.len();
+                if removed {
+                    mark_dirty(&mut self.dirty, set.index());
+                }
+                removed
             }
             _ => panic!("detach_set_member target must be a set node"),
         }
@@ -445,7 +557,11 @@ impl Instance {
     pub fn strip_annotations(&mut self, id: NodeId) {
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
-            self.annots[n.index()] = Annotation::default();
+            let a = &mut self.annots[n.index()];
+            if a.element.is_some() || !a.mappings.is_empty() {
+                *a = Annotation::default();
+                mark_dirty(&mut self.dirty, n.index());
+            }
             stack.extend_from_slice(self.children(n));
         }
     }
@@ -557,7 +673,8 @@ impl Instance {
 
     /// Checks conformance against `schema` (Definition 4.2) and fills in the
     /// element annotation (`f_el`) of every node: the total injective
-    /// `elementOf` function exists exactly when this returns `Ok`.
+    /// `elementOf` function exists exactly when this returns `Ok`. Only
+    /// annotations that change are written (and marked dirty).
     pub fn annotate_elements(&mut self, schema: &Schema) -> Result<(), ConformanceError> {
         let roots = self.roots.clone();
         for root in roots {
@@ -597,7 +714,7 @@ impl Instance {
                 ),
             });
         }
-        self.annots[id.index()].element = Some(se);
+        self.set_element(id, se);
         let kids: Vec<NodeId> = self.children(id).to_vec();
         match kind {
             ElementKind::Atomic(_) => {}
@@ -955,6 +1072,56 @@ mod tests {
         inst.truncate(len + 100);
         inst.truncate(len);
         assert_eq!(inst.len(), len);
+    }
+
+    #[test]
+    fn refresh_copies_only_dirty_blocks_and_matches_clone() {
+        let schema = portal_schema();
+        let mut live = Instance::new("Pdb");
+        let estates: Vec<Value> = (0..200)
+            .map(|i| estate(&format!("H{i}"), "1", "100K", "HomeGain"))
+            .collect();
+        live.install_root(
+            "Portal",
+            Value::record(vec![
+                ("estates", Value::set(estates)),
+                ("contacts", Value::set(vec![])),
+            ]),
+        );
+        live.annotate_elements(&schema).unwrap();
+        let mut replica = live.clone();
+        live.clear_dirty();
+        replica.clear_dirty();
+        // Re-annotating an annotated instance writes nothing.
+        live.annotate_elements(&schema).unwrap();
+        assert_eq!(live.dirty_blocks(), 0);
+
+        let portal = live.root("Portal").unwrap();
+        let set = live.child_by_label(portal, "estates").unwrap();
+        let gone = live.set_members(set).unwrap()[150];
+        live.detach_set_member(set, gone);
+        live.strip_annotations(gone);
+        live.push_set_member(set, estate("H999", "2", "900K", "Acme"));
+        live.annotate_elements(&schema).unwrap();
+        let total = live.len().div_ceil(64);
+        assert!(
+            live.dirty_blocks() <= 4,
+            "{} of {total}",
+            live.dirty_blocks()
+        );
+
+        // A replica-side write is undone by the refresh too.
+        let stray = replica.set_members(set).unwrap()[3];
+        replica.add_mapping(stray, MappingName::new("m9"));
+        replica.refresh_from(&live);
+        assert!(replica == live.clone());
+        assert_eq!(replica.dirty_blocks(), 0);
+
+        // Truncation below the replica's length shrinks it.
+        live.clear_dirty();
+        live.truncate(live.len() - 10);
+        replica.refresh_from(&live);
+        assert!(replica == live);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests on the data-model and language substrates:
 //! PNF idempotence and annotation preservation, schema/XML round-trips,
-//! and parser round-trips through the pretty-printer.
+//! parser round-trips through the pretty-printer, and dirty-block refresh
+//! against a plain clone.
 
 use dtr::model::instance::{Instance, Value};
 use dtr::model::pnf::{is_pnf, to_pnf};
@@ -33,6 +34,94 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         0..8,
     )
     .prop_map(Value::set)
+}
+
+/// A wider root set than [`value_strategy`] (up to a few hundred nodes,
+/// so several 64-node dirty blocks).
+fn wide_value_strategy() -> impl Strategy<Value = Value> {
+    prop::collection::vec((0u8..4, 0u8..4, 0usize..4), 0..48).prop_map(|members| {
+        Value::set(
+            members
+                .into_iter()
+                .map(|(a, b, kids)| {
+                    Value::record(vec![
+                        ("f0", Value::str(format!("x{a}"))),
+                        ("f1", Value::str(format!("y{b}"))),
+                        (
+                            "kids",
+                            Value::set(
+                                (0..kids)
+                                    .map(|k| {
+                                        Value::record(vec![
+                                            ("f0", Value::str(format!("k{k}"))),
+                                            ("f1", Value::str(format!("y{a}"))),
+                                        ])
+                                    })
+                                    .collect(),
+                            ),
+                        ),
+                    ])
+                })
+                .collect(),
+        )
+    })
+}
+
+/// Applies one generated edit to `inst`: `code` picks the mutator, `a`
+/// and `b` pick its targets among the current nodes.
+fn mutate(inst: &mut Instance, schema: &Schema, code: u8, a: usize, b: usize) {
+    let walk = inst.walk();
+    if walk.is_empty() {
+        return;
+    }
+    let sets: Vec<_> = walk
+        .iter()
+        .copied()
+        .filter(|&n| inst.set_members(n).is_some())
+        .collect();
+    let node = walk[a % walk.len()];
+    let set = sets[a % sets.len()];
+    let members = inst.set_members(set).unwrap().to_vec();
+    let leaf = Value::record(vec![
+        ("f0", Value::str(format!("n{b}"))),
+        ("f1", Value::str("y")),
+    ]);
+    let m = MappingName::new(format!("m{}", b % 3));
+    match code {
+        0 => {
+            // Members of the root set take a `kids` set, nested ones do not.
+            let v = if inst.parent(set).is_none() {
+                let Value::Record(mut fields) = leaf else {
+                    unreachable!()
+                };
+                fields.push(("kids".into(), Value::set(vec![])));
+                Value::Record(fields)
+            } else {
+                leaf
+            };
+            inst.push_set_member(set, v);
+        }
+        1 if !members.is_empty() => {
+            inst.detach_set_member(set, members[b % members.len()]);
+        }
+        2 => {
+            let mut kids = members;
+            kids.reverse();
+            kids.truncate(b % (kids.len() + 1));
+            inst.replace_children(set, kids);
+        }
+        3 => inst.truncate(inst.len().saturating_sub(b % 40)),
+        4 => {
+            inst.add_mapping(node, m);
+        }
+        5 => {
+            inst.remove_mapping(node, &m);
+        }
+        6 => inst.strip_annotations(node),
+        _ => {
+            let _ = inst.annotate_elements(schema);
+        }
+    }
 }
 
 /// The schema the random values conform to.
@@ -85,6 +174,38 @@ proptest! {
         };
         prop_assert_eq!(names(&inst), names(&once));
         let _ = root;
+    }
+
+    #[test]
+    fn refresh_from_equals_clone(
+        v in wide_value_strategy(),
+        rounds in prop::collection::vec(
+            prop::collection::vec((0u8..9, 0usize..1000, 0usize..1000, 0u8..4), 0..10),
+            1..5,
+        ),
+    ) {
+        let schema = value_schema();
+        let mut live = Instance::new("P");
+        live.install_root("root", v);
+        live.annotate_elements(&schema).unwrap();
+        let mut replica = live.clone();
+        replica.clear_dirty();
+        live.clear_dirty();
+        for round in rounds {
+            for (code, a, b, on_replica) in round {
+                // One edit in four lands on the replica, as a reader's
+                // first-access annotation pass would.
+                if on_replica == 0 {
+                    mutate(&mut replica, &schema, code, a, b);
+                } else {
+                    mutate(&mut live, &schema, code, a, b);
+                }
+            }
+            replica.refresh_from(&live);
+            prop_assert!(replica == live.clone(), "refresh diverged from a clone");
+            prop_assert_eq!(replica.dirty_blocks(), 0);
+            live.clear_dirty();
+        }
     }
 
     #[test]
