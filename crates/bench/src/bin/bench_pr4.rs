@@ -23,9 +23,9 @@
 //! versus a full re-exchange over the same mutated sources; the ratio at
 //! 1 % churn is `delta_speedup`. A seventh `planned` configuration prices
 //! the cost-based planner: the same query workload run from raw text
-//! through `run_planned` with a cold plan cache (cleared before every
-//! pass), a warm cache, and the legacy pre-parsed `run_with_options`
-//! path; the cold/warm ratio is `plan_cache_hit_speedup`. An eighth
+//! through `plan_for` + `run_plan` with a cold plan cache (cleared before
+//! every pass), a warm cache, and the legacy pre-parsed evaluator path;
+//! the cold/warm ratio is `plan_cache_hit_speedup`. An eighth
 //! `durable` configuration prices the write-ahead log: the same churn
 //! batches committed through a WAL-backed `DurableSession` (delta frame +
 //! CRC + sync point + epoch publish) versus plain in-memory applies —
@@ -35,6 +35,7 @@
 
 use dtr_core::incremental::IncrementalSession;
 use dtr_core::store::{DurableOptions, DurableSession};
+use dtr_core::tagged::{Request, TaggedInstance};
 use dtr_mapping::delta::SourceDelta;
 use dtr_mapping::durable::MemVfs;
 use dtr_mapping::exchange::{execute_mappings_with, ExchangeOptions};
@@ -42,7 +43,7 @@ use dtr_model::instance::Value;
 use dtr_obs::guard::Budget;
 use dtr_portal::scenario::{build, ScenarioConfig};
 use dtr_query::ast::Query;
-use dtr_query::eval::{EvalOptions, Source};
+use dtr_query::eval::{EvalOptions, Evaluator, QueryResult, Source};
 use dtr_query::functions::FunctionRegistry;
 use dtr_query::parser::parse_query;
 use std::sync::Arc;
@@ -119,16 +120,21 @@ fn run_path(n: usize, opts: &ExchangeOptions, queries: &[Query], mode: Mode) -> 
             // statistics catalog records scans/joins and every operator is
             // timed. Results are byte-identical to the plain path, which
             // the cross-config row assertion in `main` re-checks.
-            // The flight path runs the same plain query loop (the recorder
-            // and audit log capture it from the inside), so its gap to
-            // `optimized` isolates the time-domain tiers.
-            rows += if mode == Mode::Instrumented {
-                tagged.run_analyzed(q).expect("query succeeds").0.len()
-            } else {
-                tagged
-                    .run_with_options(q, opts.eval.clone())
+            // The flight path runs the same plain query through
+            // `execute`, where the recorder and audit log capture it from
+            // the inside, so its gap to `optimized` isolates the
+            // time-domain tiers.
+            rows += match mode {
+                Mode::Plain => eval_with(&tagged, q, &opts.eval).len(),
+                Mode::Instrumented | Mode::Flight => tagged
+                    .execute(
+                        Request::Query(q),
+                        &opts.eval.budget,
+                        mode == Mode::Instrumented,
+                    )
                     .expect("query succeeds")
-                    .len()
+                    .0
+                    .len(),
             };
         }
     }
@@ -148,6 +154,27 @@ fn run_path(n: usize, opts: &ExchangeOptions, queries: &[Query], mode: Mode) -> 
         rows,
         latency_ns: tagged.report().latency_percentiles(),
     }
+}
+
+/// Evaluates `q` over `tagged` with an explicit engine configuration: the
+/// ablation picks evaluator modes (nested-loop vs hash join), which live
+/// on the `Evaluator`, not on the tagged instance's query calls.
+fn eval_with(tagged: &TaggedInstance, q: &Query, eval: &EvalOptions) -> QueryResult {
+    let catalog = tagged.catalog();
+    Evaluator::new(&catalog, tagged.functions())
+        .with_meta(tagged.setting())
+        .with_options(eval.clone())
+        .run(&tagged.setting().normalize_query(q))
+        .expect("query succeeds")
+}
+
+/// Plans (or fetches the cached plan for) `text` and runs it; the row count.
+fn run_text(tagged: &TaggedInstance, text: &str) -> usize {
+    tagged
+        .plan_for(text)
+        .and_then(|plan| tagged.run_plan(&plan))
+        .expect("planned query succeeds")
+        .len()
 }
 
 /// Runs every config once per rep, interleaved, keeping each config's best
@@ -203,10 +230,7 @@ fn run_planned(n: usize, opts: &ExchangeOptions, queries: &[Query]) -> PlannedTi
     for _ in 0..QUERY_REPS {
         legacy_rows = 0;
         for q in queries {
-            legacy_rows += tagged
-                .run_with_options(q, opts.eval.clone())
-                .expect("query succeeds")
-                .len();
+            legacy_rows += eval_with(&tagged, q, &opts.eval).len();
         }
     }
     let legacy_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -216,10 +240,7 @@ fn run_planned(n: usize, opts: &ExchangeOptions, queries: &[Query]) -> PlannedTi
         cold_rows = 0;
         tagged.clear_plan_cache();
         for text in QUERIES {
-            cold_rows += tagged
-                .run_planned(text)
-                .expect("planned query succeeds")
-                .len();
+            cold_rows += run_text(&tagged, text);
         }
     }
     let cold_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -230,10 +251,7 @@ fn run_planned(n: usize, opts: &ExchangeOptions, queries: &[Query]) -> PlannedTi
     for _ in 0..QUERY_REPS {
         cached_rows = 0;
         for text in QUERIES {
-            cached_rows += tagged
-                .run_planned(text)
-                .expect("planned query succeeds")
-                .len();
+            cached_rows += run_text(&tagged, text);
         }
     }
     let cached_ms = t2.elapsed().as_secs_f64() * 1e3;
@@ -711,7 +729,7 @@ fn main() {
              \"incremental\": {{ \"config\": \"delta-driven maintenance (IncrementalSession) vs full re-exchange, modify churn on Yahoo.listings\", \
              \"build_ms\": {nb:.3}, \"delta_1pct_ms\": {n1:.3}, \"delta_10pct_ms\": {n10:.3}, \
              \"full_reexchange_ms\": {nf:.3}, \"edits_1pct\": {k1}, \"edits_10pct\": {k10}, \"total_ms\": {nt:.3} }},\n      \
-             \"planned\": {{ \"config\": \"cost-based planner: run_planned from raw text, cold cache vs warm cache vs legacy pre-parsed eval\", \
+             \"planned\": {{ \"config\": \"cost-based planner: plan_for + run_plan from raw text, cold cache vs warm cache vs legacy pre-parsed eval\", \
              \"legacy_query_ms\": {pl:.3}, \"cold_plan_query_ms\": {pc:.3}, \"cached_plan_query_ms\": {pw:.3}, \"total_ms\": {pt:.3} }},\n      \
              \"durable\": {{ \"config\": \"WAL-backed DurableSession (MemVfs) vs in-memory applies, {db} x 10% churn batches; wal_overhead_pct prices the log-commit path, publish_ms the epoch-snapshot clone; recovery at full-suffix and post-checkpoint log lengths\", \
              \"inmem_build_ms\": {dib:.3}, \"create_ms\": {dcr:.3}, \"inmem_apply_ms\": {dia:.3}, \"wal_apply_ms\": {dwa:.3}, \

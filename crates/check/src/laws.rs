@@ -14,6 +14,7 @@ use dtr_mapping::satisfy::is_satisfied;
 use dtr_model::instance::{Instance, NodeData, NodeId};
 use dtr_model::pnf::{is_pnf, to_pnf};
 use dtr_model::value::MappingName;
+use dtr_obs::guard::Budget;
 use dtr_query::ast::Query;
 use dtr_query::check::{check_query, SchemaCatalog};
 use dtr_query::eval::{Catalog, EvalOptions, Evaluator, MetaEnv};
@@ -322,8 +323,10 @@ pub fn law_analyze(
             .run(&q)
             .map_err(|e| format!("plain run failed on `{q}`: {e}"))?;
         let (analyzed, plan) = tagged
-            .run_analyzed(&q)
+            .execute(Request::Query(&q), &Budget::unlimited(), true)
             .map_err(|e| format!("analyzed run failed on `{q}`: {e}"))?;
+        let plan =
+            plan.ok_or_else(|| format!("analyzed run returned no operator tree on `{q}`"))?;
         // (a) Byte-identical result: instrumentation must be observation
         // only. Debug rendering covers columns, row order, atomic values
         // and the annotation payloads of every output value.
@@ -416,10 +419,12 @@ pub fn law_plan(
         let hits_before = tagged.plan_cache_stats().hits;
         let version_before = dtr_obs::stats::cardinality_version();
         let cold = tagged
-            .run_planned(&text)
+            .plan_for(&text)
+            .and_then(|plan| tagged.run_plan(&plan))
             .map_err(|e| format!("planned (cold) run failed on `{q}`: {e}"))?;
         let warm = tagged
-            .run_planned(&text)
+            .plan_for(&text)
+            .and_then(|plan| tagged.run_plan(&plan))
             .map_err(|e| format!("planned (cached) run failed on `{q}`: {e}"))?;
         let stats = tagged.plan_cache_stats();
         // A concurrent delta apply (another test thread) can legitimately
@@ -1150,7 +1155,6 @@ pub fn law_epoch_refresh(
     use dtr_core::store::{DurableOptions, DurableSession};
     use dtr_mapping::durable::MemVfs;
     use dtr_mapping::exchange::ExchangeOptions;
-    use dtr_obs::guard::Budget;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use std::time::Duration;

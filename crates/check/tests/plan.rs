@@ -39,10 +39,10 @@ proptest! {
         for q in qs {
             let text = q.to_string();
             tagged.clear_plan_cache();
-            let cold = tagged.run_planned(&text)
+            let cold = tagged.plan_for(&text).and_then(|p| tagged.run_plan(&p))
                 .unwrap_or_else(|e| panic!("seed {seed}: cold plan failed on `{text}`: {e}"));
             let before = tagged.plan_cache_stats();
-            let warm = tagged.run_planned(&text)
+            let warm = tagged.plan_for(&text).and_then(|p| tagged.run_plan(&p))
                 .unwrap_or_else(|e| panic!("seed {seed}: warm plan failed on `{text}`: {e}"));
             let after = tagged.plan_cache_stats();
             prop_assert!(after.hits > before.hits, "seed {seed}: no cache hit on `{text}`");

@@ -9,7 +9,7 @@
 //! storage schema".
 
 use crate::tagged::{MappingSetting, MxqlError, TaggedInstance};
-use crate::translate::{translate_budgeted, TranslateError};
+use crate::translate::{translate_explained_budgeted, TranslateError};
 use dtr_metastore::store::{MetaStore, StoreError};
 use dtr_metastore::view::{meta_instance, meta_schema};
 use dtr_model::instance::Instance;
@@ -17,7 +17,6 @@ use dtr_model::schema::Schema;
 use dtr_obs::guard::Budget;
 use dtr_query::ast::Query;
 use dtr_query::eval::{EvalOptions, Evaluator, QueryResult, Source};
-use dtr_query::parser::parse_query;
 
 impl From<TranslateError> for MxqlError {
     fn from(e: TranslateError) -> Self {
@@ -136,13 +135,14 @@ impl MetaRunner {
         for k in &q.order_by {
             let Some(col) = q.select.iter().position(|e| *e == k.expr) else {
                 return Err(MxqlError::Other(format!(
-                    "translated execution requires order-by keys to appear in the                      select clause; `{}` does not",
+                    "translated execution requires order-by keys to appear in the \
+                     select clause; `{}` does not",
                     k.expr
                 )));
             };
             key_columns.push((col, k.descending));
         }
-        let branches = translate_budgeted(&q, tagged.target().db(), budget)?;
+        let (branches, _) = translate_explained_budgeted(&q, tagged.target().db(), budget)?;
         let span = dtr_obs::span("mxql.run_translated").field("branches", branches.len());
         let mut meter = budget.meter("mxql.run_translated");
         let mut catalog = tagged.catalog();
@@ -197,23 +197,6 @@ impl MetaRunner {
         span.record("rows_out", out.rows.len());
         Ok(out)
     }
-
-    /// Parses and runs MXQL text through the translation pipeline.
-    pub fn query(&self, tagged: &TaggedInstance, text: &str) -> Result<QueryResult, MxqlError> {
-        let q = parse_query(text)?;
-        self.run(tagged, &q)
-    }
-
-    /// [`MetaRunner::query`] under a resource budget.
-    pub fn query_budgeted(
-        &self,
-        tagged: &TaggedInstance,
-        text: &str,
-        budget: &Budget,
-    ) -> Result<QueryResult, MxqlError> {
-        let q = parse_query(text)?;
-        self.run_budgeted(tagged, &q, budget)
-    }
 }
 
 /// Renders result rows as sorted strings — the canonical form used to
@@ -239,13 +222,52 @@ pub fn canonical_rows(r: &QueryResult) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tagged::Request;
     use crate::testkit::{figure1, figure1_setting};
+    use dtr_query::parser::parse_query;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that switch the process-global audit gate: each
+    /// restores the gate when done, which would silence a concurrently
+    /// running one before its records land.
+    static AUDIT_GATE: Mutex<()> = Mutex::new(());
+
+    /// Takes the audit lock and switches auditing on; the returned guard
+    /// restores the previous gate state when dropped (also on panic).
+    fn audit_on() -> impl Drop {
+        struct Restore {
+            was_on: bool,
+            _lock: MutexGuard<'static, ()>,
+        }
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                dtr_obs::audit::set_enabled(self.was_on);
+            }
+        }
+        let lock = AUDIT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let was_on = dtr_obs::audit::enabled();
+        dtr_obs::audit::set_enabled(true);
+        Restore {
+            was_on,
+            _lock: lock,
+        }
+    }
+
+    /// The audit records whose request text contains `marker`. The log is
+    /// global and other tests (or a soak with `DTR_AUDIT=1`) may interleave
+    /// records, so every test filters by its own request text.
+    fn audited(marker: &str) -> Vec<dtr_obs::AuditRecord> {
+        dtr_obs::audit::records()
+            .into_iter()
+            .filter(|r| r.request.contains(marker))
+            .collect()
+    }
 
     fn agree(text: &str) {
         let tagged = figure1();
         let runner = MetaRunner::new(tagged.setting()).unwrap();
         let direct = tagged.query(text).unwrap();
-        let translated = runner.query(&tagged, text).unwrap();
+        let translated = runner.run(&tagged, &parse_query(text).unwrap()).unwrap();
         assert_eq!(
             canonical_rows(&direct),
             canonical_rows(&translated),
@@ -354,19 +376,15 @@ mod tests {
 
     #[test]
     fn audit_records_exchange_query_and_translate() {
-        let was_on = dtr_obs::audit::enabled();
-        dtr_obs::audit::set_enabled(true);
+        let _audit = audit_on();
         // figure1() performs the exchange while auditing is on, so all
         // three request kinds land in the log.
         let tagged = figure1();
         let marker = "select e.hid, e.value from Portal.estates e where e.contact = 'HomeGain'";
         let direct = tagged.query(marker).unwrap();
         let runner = MetaRunner::new(tagged.setting()).unwrap();
-        let translated = runner.query(&tagged, marker).unwrap();
+        let translated = runner.run(&tagged, &parse_query(marker).unwrap()).unwrap();
         let records = dtr_obs::audit::records();
-        dtr_obs::audit::set_enabled(was_on);
-        // Filter by our own request text: the log is global and other
-        // tests (or a CI soak with DTR_AUDIT=1) may interleave records.
         let queries: Vec<_> = records
             .iter()
             .filter(|r| r.kind == "query" && r.request.contains("HomeGain"))
@@ -397,28 +415,86 @@ mod tests {
 
     #[test]
     fn audit_records_guard_outcome() {
-        let was_on = dtr_obs::audit::enabled();
-        dtr_obs::audit::set_enabled(true);
+        let _audit = audit_on();
         let tagged = figure1();
         let marker = "select a.hid, b.hid from Portal.estates a, Portal.estates b";
-        let q = dtr_query::parser::parse_query(marker).unwrap();
+        let q = parse_query(marker).unwrap();
         let budget = Budget {
             max_rows: Some(1),
             ..Budget::default()
         };
-        let err = tagged.run_budgeted(&q, &budget).unwrap_err();
+        let err = tagged
+            .execute(Request::Query(&q), &budget, false)
+            .unwrap_err();
         assert!(err.guard().is_some());
-        let records = dtr_obs::audit::records();
-        dtr_obs::audit::set_enabled(was_on);
-        let mine: Vec<_> = records
-            .iter()
-            .filter(|r| r.request.contains("Portal.estates b"))
-            .collect();
+        let mine = audited("Portal.estates b");
         assert!(!mine.is_empty());
         assert!(
             mine.last().unwrap().outcome.starts_with("guard:"),
             "expected guard outcome, got {:?}",
             mine.last().unwrap().outcome
+        );
+    }
+
+    #[test]
+    fn each_request_writes_exactly_one_audit_record() {
+        let _audit = audit_on();
+        let tagged = figure1();
+        let runner = MetaRunner::new(tagged.setting()).unwrap();
+        // One distinct marker (a string constant no other test uses) per
+        // request, so each request's records are told apart in the log.
+        let text = |marker: &str| {
+            format!("select e.hid from Portal.estates e where e.contact != '{marker}'")
+        };
+        let unlimited = Budget::unlimited();
+        let tripping = Budget {
+            max_rows: Some(1),
+            ..Budget::default()
+        };
+        tagged.query(&text("one-audit-query")).unwrap();
+        tagged
+            .run(&parse_query(&text("one-audit-run")).unwrap())
+            .unwrap();
+        let plan = tagged.plan_for(&text("one-audit-run-plan")).unwrap();
+        tagged.run_plan(&plan).unwrap();
+        let q = parse_query(&text("one-audit-analyze")).unwrap();
+        let (_, node) = tagged
+            .execute(Request::Query(&q), &unlimited, true)
+            .unwrap();
+        assert!(node.is_some(), "analyze returns the operator tree");
+        let q = parse_query(&text("one-audit-guard")).unwrap();
+        let err = tagged
+            .execute(Request::Query(&q), &tripping, false)
+            .unwrap_err();
+        assert!(err.guard().is_some());
+        let q = parse_query(&text("one-audit-translate")).unwrap();
+        runner.run(&tagged, &q).unwrap();
+        for (marker, kind, outcome) in [
+            ("one-audit-query", "query", "ok"),
+            ("one-audit-run", "query", "ok"),
+            ("one-audit-run-plan", "query.planned", "ok"),
+            ("one-audit-analyze", "query", "ok"),
+            ("one-audit-guard", "query", "guard:rows"),
+            ("one-audit-translate", "translate", "ok"),
+        ] {
+            let quoted = format!("'{marker}'");
+            let mine = audited(&quoted);
+            assert_eq!(mine.len(), 1, "{marker}: {mine:?}");
+            assert_eq!(mine[0].kind, kind, "{marker}");
+            assert_eq!(mine[0].outcome, outcome, "{marker}");
+        }
+    }
+
+    #[test]
+    fn translated_order_key_outside_select_is_rejected_verbatim() {
+        let tagged = figure1();
+        let runner = MetaRunner::new(tagged.setting()).unwrap();
+        let q = parse_query("select x.hid from Portal.estates x order by x.value").unwrap();
+        let err = runner.run(&tagged, &q).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "translated execution requires order-by keys to appear in the select \
+             clause; `x.value` does not"
         );
     }
 

@@ -343,6 +343,19 @@ pub(crate) fn audit_query(
     dtr_obs::audit::record(rec);
 }
 
+/// One request for [`TaggedInstance::execute`].
+#[derive(Clone, Copy)]
+pub enum Request<'a> {
+    /// A parsed query as written: normalized, then evaluated unplanned in
+    /// its own binding order (the reference the planner is checked
+    /// against).
+    Query(&'a Query),
+    /// A compiled plan from [`TaggedInstance::plan_for`] or
+    /// [`TaggedInstance::plan_with_stats`]: executed as planned, with no
+    /// re-parse or re-normalization.
+    Plan(&'a CompiledPlan),
+}
+
 /// A tagged instance (Definition 5.2): the annotated target instance plus
 /// its mapping setting and source instances, ready for MXQL querying.
 pub struct TaggedInstance {
@@ -537,118 +550,90 @@ impl TaggedInstance {
     }
 
     /// Evaluates a parsed (MXQL or plain) query directly — the native
-    /// implementation of the Section 5 semantics.
+    /// implementation of the Section 5 semantics, in the query's own
+    /// binding order.
     pub fn run(&self, q: &Query) -> Result<QueryResult, MxqlError> {
-        let audit = dtr_obs::audit::enabled().then(|| (q.to_string(), std::time::Instant::now()));
-        let q = self.setting.normalize_query(q);
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
-            .run(&q)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query", request, started, result.as_ref());
-        }
-        result
+        self.execute(Request::Query(q), &Budget::unlimited(), false)
+            .map(|(r, _)| r)
     }
 
-    /// [`TaggedInstance::run`] in EXPLAIN ANALYZE mode: evaluates the query
-    /// with per-operator instrumentation and returns the result alongside
-    /// the operator tree. The result is byte-identical to [`TaggedInstance::run`];
-    /// the tree carries actual rows in/out, wall time, and guard charges per
-    /// operator (see `dtr_obs::analyze`).
-    pub fn run_analyzed(&self, q: &Query) -> Result<(QueryResult, dtr_obs::OpNode), MxqlError> {
-        let audit = dtr_obs::audit::enabled().then(|| (q.to_string(), std::time::Instant::now()));
-        let q = self.setting.normalize_query(q);
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
-            .run_analyzed(&q)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query", request, started, result.as_ref().map(|(r, _)| r));
-        }
-        result
-    }
-
-    /// Evaluates with explicit options (for the ablation benchmarks).
-    pub fn run_with_options(&self, q: &Query, opts: EvalOptions) -> Result<QueryResult, MxqlError> {
-        let audit = dtr_obs::audit::enabled().then(|| (q.to_string(), std::time::Instant::now()));
-        let q = self.setting.normalize_query(q);
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
-            .with_options(opts)
-            .run(&q)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query", request, started, result.as_ref());
-        }
-        result
-    }
-
-    /// Evaluates under a resource [`Budget`] (deadline, cancellation, row
-    /// and byte caps) with otherwise-default options. A tripped budget
-    /// returns a structured guard error, reachable via
-    /// [`MxqlError::guard`].
-    pub fn run_budgeted(&self, q: &Query, budget: &Budget) -> Result<QueryResult, MxqlError> {
-        self.run_with_options(
-            q,
-            EvalOptions {
-                budget: budget.clone(),
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Parses and evaluates MXQL text.
+    /// Parses and evaluates MXQL text (unplanned, like [`TaggedInstance::run`]).
     pub fn query(&self, text: &str) -> Result<QueryResult, MxqlError> {
-        let q = parse_query(text)?;
-        self.run(&q)
+        self.run(&parse_query(text)?)
     }
 
-    /// Evaluates MXQL text through the planner pipeline: a plan-cache hit
-    /// (fingerprint keyed, structurally confirmed against the stored
-    /// text) skips parse + check + plan entirely; a miss compiles the
-    /// query — resolve, logical rewrites, cost-based physical planning
-    /// from the current statistics snapshot — caches the plan, and
-    /// executes it. Execution runs through the same evaluator kernels as
-    /// [`TaggedInstance::run`], so guards, journal, stats and analyze all
-    /// behave identically; bindings may execute in a planned order, so
-    /// the result *multiset* matches `run` while row order may differ
-    /// (never under `limit`, which pins the original order).
-    pub fn run_planned(&self, text: &str) -> Result<QueryResult, MxqlError> {
-        let plan = self.plan_for(text)?;
-        self.run_plan(&plan)
+    /// Executes a compiled plan (no parsing, checking or planning).
+    pub fn run_plan(&self, plan: &CompiledPlan) -> Result<QueryResult, MxqlError> {
+        self.execute(Request::Plan(plan), &Budget::unlimited(), false)
+            .map(|(r, _)| r)
     }
 
-    /// [`TaggedInstance::run_planned`] under a resource [`Budget`]. The
-    /// budget applies to this execution only — it is never baked into the
-    /// cached plan.
-    pub fn run_planned_budgeted(
+    /// The one MXQL evaluation entry point: every other query call on this
+    /// type funnels through it, and it writes the request's single audit
+    /// record (kind `query` or `query.planned`).
+    ///
+    /// * `req` is a query as written ([`Request::Query`], normalized and
+    ///   evaluated in its own binding order) or a compiled plan
+    ///   ([`Request::Plan`], executed in the planned order with the plan's
+    ///   engine options).
+    /// * `budget` bounds this execution only (deadline, cancellation, row,
+    ///   binding and byte caps; never baked into a cached plan). A tripped
+    ///   budget returns a structured guard error, reachable via
+    ///   [`MxqlError::guard`].
+    /// * `analyze` runs in EXPLAIN ANALYZE mode and returns the operator
+    ///   tree (actual rows in/out, wall time and guard charges per
+    ///   operator, see `dtr_obs::analyze`) beside a result byte-identical
+    ///   to the plain run; without it the tree is `None`.
+    pub fn execute(
         &self,
-        text: &str,
+        req: Request<'_>,
         budget: &Budget,
-    ) -> Result<QueryResult, MxqlError> {
-        let plan = self.plan_for(text)?;
-        let audit =
-            dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
+        analyze: bool,
+    ) -> Result<(QueryResult, Option<dtr_obs::OpNode>), MxqlError> {
+        let audit = dtr_obs::audit::enabled().then(|| {
+            let request = match req {
+                Request::Query(q) => q.to_string(),
+                Request::Plan(plan) => plan.text.clone(),
+            };
+            (request, std::time::Instant::now())
+        });
+        let normalized;
+        let (kind, q, base) = match req {
+            Request::Query(q) => {
+                normalized = self.setting.normalize_query(q);
+                ("query", &normalized, EvalOptions::default())
+            }
+            Request::Plan(plan) => ("query.planned", &plan.query, plan.opts.clone()),
+        };
         let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
+        let eval = Evaluator::new(&catalog, &self.functions)
             .with_meta(&self.setting)
             .with_options(EvalOptions {
                 budget: budget.clone(),
-                ..plan.opts.clone()
-            })
-            .run(&plan.query)
-            .map_err(MxqlError::from);
+                ..base
+            });
+        let result = if analyze {
+            eval.run_analyzed(q).map(|(r, node)| (r, Some(node)))
+        } else {
+            eval.run(q).map(|r| (r, None))
+        }
+        .map_err(MxqlError::from);
         if let Some((request, started)) = audit {
-            audit_query("query.planned", request, started, result.as_ref());
+            audit_query(kind, request, started, result.as_ref().map(|(r, _)| r));
         }
         result
     }
 
-    /// The cached (or freshly compiled and cached) plan for `text`.
+    /// The cached (or freshly compiled and cached) plan for `text`: a
+    /// plan-cache hit (fingerprint keyed, structurally confirmed against
+    /// the stored text) skips parse + check + plan entirely; a miss
+    /// compiles the query (resolve, logical rewrites, cost-based physical
+    /// planning from the current statistics snapshot) and caches it.
+    /// Planned execution runs through the same evaluator kernels as
+    /// [`TaggedInstance::run`], so guards, journal, stats and analyze all
+    /// behave identically; bindings may execute in a planned order, so the
+    /// result *multiset* matches `run` while row order may differ (never
+    /// under `limit`, which pins the original order).
     pub fn plan_for(&self, text: &str) -> Result<Arc<CompiledPlan>, MxqlError> {
         if let Some(plan) = self.plans.lookup(text) {
             return Ok(plan);
@@ -679,47 +664,6 @@ impl TaggedInstance {
         schemas.extend(self.setting.source_schemas.iter());
         dtr_query::plan::compile(&q, schemas, stats, text, EvalOptions::default())
             .map_err(MxqlError::Check)
-    }
-
-    /// Executes a compiled plan (no parsing, checking or planning).
-    pub fn run_plan(&self, plan: &CompiledPlan) -> Result<QueryResult, MxqlError> {
-        let audit =
-            dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
-            .with_options(plan.opts.clone())
-            .run(&plan.query)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query.planned", request, started, result.as_ref());
-        }
-        result
-    }
-
-    /// Executes a compiled plan with per-operator instrumentation, for
-    /// estimated-vs-actual `.explain` display.
-    pub fn run_plan_analyzed(
-        &self,
-        plan: &CompiledPlan,
-    ) -> Result<(QueryResult, dtr_obs::OpNode), MxqlError> {
-        let audit =
-            dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
-            .with_options(plan.opts.clone())
-            .run_analyzed(&plan.query)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query(
-                "query.planned",
-                request,
-                started,
-                result.as_ref().map(|(r, _)| r),
-            );
-        }
-        result
     }
 
     /// Plan-cache counters (hits, misses, structural-confirmation
@@ -940,15 +884,15 @@ mod tests {
         ] {
             let q = parse_query(text).unwrap();
             let fast = t.run(&q).unwrap();
-            let naive = t
-                .run_with_options(
-                    &q,
-                    EvalOptions {
-                        pushdown: false,
-                        hash_join: false,
-                        ..Default::default()
-                    },
-                )
+            // Engine modes are an evaluator-layer choice.
+            let naive = Evaluator::new(&t.catalog(), t.functions())
+                .with_meta(t.setting())
+                .with_options(EvalOptions {
+                    pushdown: false,
+                    hash_join: false,
+                    ..Default::default()
+                })
+                .run(&t.setting().normalize_query(&q))
                 .unwrap();
             let s = |r: &dtr_query::eval::QueryResult| {
                 let mut v: Vec<String> = r.tuples().iter().map(|row| format!("{row:?}")).collect();

@@ -130,32 +130,16 @@ fn explain_step(trace: &mut ExplainTrace, rule: &'static str, input: String, out
 /// of the tagged (annotated) instance — needed to constrain `@elem`
 /// comparisons.
 pub fn translate(q: &Query, target_db: &str) -> Result<Vec<Query>, TranslateError> {
-    translate_explained(q, target_db).map(|(queries, _)| queries)
+    translate_explained_budgeted(q, target_db, &Budget::unlimited()).map(|(queries, _)| queries)
 }
 
-/// [`translate`] under a resource [`Budget`]: the rewrite loop polls the
-/// budget's deadline/cancellation and trips `max_bindings` on the number of
-/// union branches produced, so a pathological double-arrow predicate stack
+/// [`translate`] under a resource [`Budget`], additionally returning the
+/// EXPLAIN trace of every rewrite step (Section 7.3's four steps, one
+/// [`dtr_obs::ExplainStep`] per fired rule); the `.explain` REPL
+/// meta-command renders this trace. The rewrite loop polls the budget's
+/// deadline/cancellation and trips `max_bindings` on the number of union
+/// branches produced, so a pathological double-arrow predicate stack
 /// cannot explode unbounded.
-pub fn translate_budgeted(
-    q: &Query,
-    target_db: &str,
-    budget: &Budget,
-) -> Result<Vec<Query>, TranslateError> {
-    translate_explained_budgeted(q, target_db, budget).map(|(queries, _)| queries)
-}
-
-/// [`translate`], additionally returning the EXPLAIN trace of every rewrite
-/// step (Section 7.3's four steps, one [`dtr_obs::ExplainStep`] per fired
-/// rule). The `.explain` REPL meta-command renders this trace.
-pub fn translate_explained(
-    q: &Query,
-    target_db: &str,
-) -> Result<(Vec<Query>, ExplainTrace), TranslateError> {
-    translate_explained_budgeted(q, target_db, &Budget::unlimited())
-}
-
-/// [`translate_explained`] under a resource [`Budget`].
 pub fn translate_explained_budgeted(
     q: &Query,
     target_db: &str,

@@ -41,7 +41,7 @@ where s.contact = c.title and e = c.title@elem
 
     // Both execution paths agree.
     let direct = tagged.query(text).expect("direct evaluation");
-    let translated = runner.query(&tagged, text).expect("translated evaluation");
+    let translated = runner.run(&tagged, &q).expect("translated evaluation");
     println!("=== Results ===\n");
     println!(
         "direct (Section 5 semantics):    {:?}",

@@ -30,7 +30,7 @@
 
 use dtr_core::runner::MetaRunner;
 use dtr_core::store::{DurableOptions, DurableSession};
-use dtr_core::tagged::{MxqlError, TaggedInstance};
+use dtr_core::tagged::{MxqlError, Request, TaggedInstance};
 use dtr_mapping::delta::SourceDelta;
 use dtr_mapping::durable::MemVfs;
 use dtr_mapping::exchange::ExchangeOptions;
@@ -402,7 +402,11 @@ fn time_query(tagged: &TaggedInstance, text: &str, reps: usize, budget: &Budget)
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            let r = guard_exit(tagged.run_budgeted(&q, budget), "a timed query");
+            let r = guard_exit(
+                tagged.execute(Request::Query(&q), budget, false),
+                "a timed query",
+            )
+            .0;
             std::hint::black_box(r.len());
             t0.elapsed().as_secs_f64() * 1000.0
         })

@@ -17,10 +17,10 @@
 //!   touching the materialized instance);
 //! * `.lint` — run the mapping diagnostics;
 //! * `.whatif <db|mapping,...>` — impact analysis;
-//! * `.save <file>` — write the annotated instance as XML; `.save wal
-//!   <dir>` instead starts a *durable* session: every later `.delta`
-//!   batch is committed to a write-ahead log in `<dir>` before it is
-//!   applied;
+//! * `.save <file>` — write the annotated instance as XML;
+//!   `.save wal <dir>` instead starts a *durable* session: every later
+//!   `.delta` batch is committed to a write-ahead log in `<dir>` before it
+//!   is applied;
 //! * `.open <dir>` — recover a durable session from its write-ahead log
 //!   (after a crash or a clean exit): loads the latest intact checkpoint,
 //!   replays the committed delta suffix, reports torn tails as warnings;
@@ -69,9 +69,9 @@
 
 use dtr::core::provenance::{provenance_of, ProvenanceKind};
 use dtr::core::runner::MetaRunner;
-use dtr::core::tagged::TaggedInstance;
+use dtr::core::tagged::{Request, TaggedInstance};
 use dtr::core::testkit;
-use dtr::core::translate::{translate, translate_explained};
+use dtr::core::translate::{translate, translate_explained_budgeted};
 use dtr::core::virtualize::answer_virtually;
 use dtr::core::whatif::{impact_of_mappings, impact_of_source};
 use dtr::mapping::lint::lint_mappings;
@@ -729,7 +729,11 @@ fn main() {
                     match parse_query(text) {
                         Ok(q) => {
                             let q = tagged.setting().normalize_query(&q);
-                            match translate_explained(&q, tagged.target().db()) {
+                            match translate_explained_budgeted(
+                                &q,
+                                tagged.target().db(),
+                                &Budget::unlimited(),
+                            ) {
                                 Ok((branches, trace)) => {
                                     print!("{}", trace.render());
                                     println!(
@@ -751,9 +755,15 @@ fn main() {
                             // physical operators with estimated rows, and
                             // actual rows from one instrumented execution.
                             match tagged.plan_for(text) {
-                                Ok(plan) => match tagged.run_plan_analyzed(&plan) {
-                                    Ok((_, node)) => print!("{}", plan.render_with_actual(&node)),
-                                    Err(_) => print!("{}", plan.render()),
+                                Ok(plan) => match tagged.execute(
+                                    Request::Plan(&plan),
+                                    &Budget::unlimited(),
+                                    true,
+                                ) {
+                                    Ok((_, Some(node))) => {
+                                        print!("{}", plan.render_with_actual(&node))
+                                    }
+                                    _ => print!("{}", plan.render()),
                                 },
                                 Err(e) => println!("planning error: {e}"),
                             }
@@ -769,7 +779,8 @@ fn main() {
                         match parse_query(text) {
                             Ok(q) => {
                                 let t0 = std::time::Instant::now();
-                                match tagged.run_analyzed(&q) {
+                                match tagged.execute(Request::Query(&q), &Budget::unlimited(), true)
+                                {
                                     Ok((r, plan)) => {
                                         print!("{}", r.to_table());
                                         println!(
@@ -777,11 +788,13 @@ fn main() {
                                             r.len(),
                                             t0.elapsed().as_secs_f64() * 1e3
                                         );
-                                        print!("{}", plan.render());
                                         // Analyzed runs return their tree;
                                         // the REPL is the one front-end that
                                         // publishes it for `.profile json`.
-                                        dtr_obs::analyze::set_last(plan);
+                                        if let Some(plan) = plan {
+                                            print!("{}", plan.render());
+                                            dtr_obs::analyze::set_last(plan);
+                                        }
                                     }
                                     Err(e) => println!("error: {e}"),
                                 }
@@ -1039,22 +1052,20 @@ fn main() {
             dtr_obs::profile_reset();
         }
         let t0 = std::time::Instant::now();
-        let result = match mode {
-            Mode::Direct => parse_query(&text)
-                .map_err(dtr::core::tagged::MxqlError::from)
-                .and_then(|q| tagged.run_budgeted(&q, &limits)),
-            Mode::Translated => runner.query_budgeted(&tagged, &text, &limits),
-            Mode::Virtual => parse_query(&text)
-                .map_err(dtr::core::tagged::MxqlError::from)
-                .and_then(|q| {
-                    answer_virtually(
-                        tagged.setting(),
-                        tagged.source_instances(),
-                        &q,
-                        tagged.functions(),
-                    )
-                }),
-        };
+        let result = parse_query(&text)
+            .map_err(dtr::core::tagged::MxqlError::from)
+            .and_then(|q| match mode {
+                Mode::Direct => tagged
+                    .execute(Request::Query(&q), &limits, false)
+                    .map(|(r, _)| r),
+                Mode::Translated => runner.run_budgeted(&tagged, &q, &limits),
+                Mode::Virtual => answer_virtually(
+                    tagged.setting(),
+                    tagged.source_instances(),
+                    &q,
+                    tagged.functions(),
+                ),
+            });
         match result {
             Ok(r) => {
                 print!("{}", r.to_table());

@@ -5,10 +5,12 @@
 use dtr::core::runner::{canonical_rows, MetaRunner};
 use dtr::core::tagged::TaggedInstance;
 use dtr::core::testkit;
+use dtr::query::parser::parse_query;
 
 fn both(tagged: &TaggedInstance, runner: &MetaRunner, text: &str) -> Vec<String> {
     let direct = tagged.query(text).expect("direct evaluation");
-    let translated = runner.query(tagged, text).expect("translated evaluation");
+    let q = parse_query(text).expect("query parses");
+    let translated = runner.run(tagged, &q).expect("translated evaluation");
     assert_eq!(
         canonical_rows(&direct),
         canonical_rows(&translated),

@@ -258,7 +258,8 @@ proptest! {
                and <'S':es -> m -> 'D':e>",
         ] {
             let direct = tagged.query(text).unwrap();
-            let translated = runner.query(&tagged, text).unwrap();
+            let q = dtr::query::parser::parse_query(text).unwrap();
+            let translated = runner.run(&tagged, &q).unwrap();
             prop_assert_eq!(
                 canonical_rows(&direct),
                 canonical_rows(&translated),
